@@ -82,7 +82,7 @@ func main() {
 	workers := flag.Int("workers", 0, "replica pool size per model (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "work queue depth in images per model (0 = default 1024)")
 	batch := flag.Int("batch", 0, "micro-batch size B (0 = default 32)")
-	window := flag.Duration("window", 0, "micro-batch wait T (0 = default 200µs)")
+	flag.Duration("window", 0, "ignored (workers never wait for a micro-batch to fill); kept so existing command lines still parse")
 	delta := flag.Float64("delta", -1, "override every model's trained δ at load (-1 keeps them)")
 	defName := flag.String("default", "", "name of the default model entry (the /v1 alias target; default: first -model)")
 	slo := flag.String("slo", "", `attach an SLO controller to every model: "p99=15ms,queue=0.8,energy=2.5e9,floor=0.5" (see internal/control.ParseSLO); requests without an explicit δ/policy degrade to shallower exits under load instead of shedding`)
@@ -95,18 +95,17 @@ func main() {
 		models.entries = []modelEntry{{serve.DefaultModelName, "model.cdln"}}
 	}
 	obs.SetProfiling(*profile)
-	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *window, *delta, *defName, *slo, *sloInterval); err != nil {
+	if err := run(models.entries, *addr, *adminAddr, *workers, *queue, *batch, *delta, *defName, *slo, *sloInterval); err != nil {
 		fmt.Fprintln(os.Stderr, "cdlserve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, window time.Duration, delta float64, defName, slo string, sloInterval time.Duration) error {
+func run(models []modelEntry, addr, adminAddr string, workers, queue, batch int, delta float64, defName, slo string, sloInterval time.Duration) error {
 	reg := serve.NewRegistry(serve.Config{
 		Workers:         workers,
 		QueueDepth:      queue,
 		MaxBatch:        batch,
-		BatchWindow:     window,
 		ModelName:       models[0].path,
 		ControlInterval: sloInterval,
 	})

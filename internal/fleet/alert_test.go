@@ -85,13 +85,15 @@ func TestFleetAlertOnP99Breach(t *testing.T) {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	// Warm the breach evidence before any SLO exists: identity-policy
-	// traffic sends the hard inputs to the deepest exit, and those records
-	// are tail-retained with their span trees — exactly what the first
-	// rung-down snapshot must freeze.
+	// Warm the breach evidence before any SLO exists: δ=1.0 suppresses
+	// every early exit, so each warm-up image resolves at the deepest exit
+	// and its record is tail-retained with its span tree — exactly what
+	// the first rung-down snapshot must freeze. (At the trained δ this
+	// fixture exits everything at O1, leaving the evidence to chance.)
+	deepest := 1.0
 	for i := 0; i < 40; i++ {
 		status, _, body := postJSON(t, client, ts.URL+"/v1/classify",
-			serve.ClassifyRequest{Images: sampleImages(data, i*2, 2)})
+			serve.ClassifyRequest{Images: sampleImages(data, i*2, 2), Delta: &deepest})
 		if status != http.StatusOK {
 			t.Fatalf("warmup request %d: HTTP %d: %s", i, status, body)
 		}

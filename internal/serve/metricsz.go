@@ -46,6 +46,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		// before entering the metrics critical section.
 		ctrl := s.reg.controlStatus(m.name)
 		m.metrics.promInto(p, m.name, m.version, m.pool.depth(), m.workers, ctrl)
+		promDispatch(p, m.name, m.pool)
 		promAlert(p, m.name, m.alert.Load())
 		promFlight(p, m.name, m.flight)
 	}
@@ -59,6 +60,15 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// promDispatch renders one model's micro-batch dispatch counters, one
+// series per reason so an idle pool exports explicit zeros.
+func promDispatch(p *obs.Prom, name string, pl *pool) {
+	for r, reason := range dispatchReasons {
+		lbl := obs.Labels{{"model", name}, {"reason", reason}}
+		p.Counter("cdl_batch_dispatch_total", "Micro-batches dispatched, by reason: full (reached the batch cap) or idle (the queue was empty, dispatched at once).", lbl, float64(pl.dispatched[r].Load()))
+	}
 }
 
 // promAlert renders one model's burn-rate monitor (entries without an

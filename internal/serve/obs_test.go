@@ -375,6 +375,8 @@ func TestMetricszExposition(t *testing.T) {
 		`cdl_energy_pj_per_image{model="default"} `,
 		`cdl_queue_depth{model="default"} `,
 		`cdl_workers{model="default"} 2`,
+		`cdl_batch_dispatch_total{model="default",reason="full"} `,
+		`cdl_batch_dispatch_total{model="default",reason="idle"} `,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cdl/internal/core"
@@ -60,27 +61,39 @@ type job struct {
 }
 
 // pool is the replica fan-out: a bounded job queue drained by one goroutine
-// per pre-built core.Session. Workers micro-batch — after blocking on the
-// first job they greedily collect up to maxBatch jobs or until the batch
-// window elapses — so the per-batch costs downstream (one metrics lock per
-// batch, not per image) amortize under load while a lone request still
-// clears in roughly the batch window.
+// per pre-built core.Session. Workers micro-batch: after blocking on the
+// first job they greedily drain whatever is already queued and dispatch at
+// once, never waiting for more. Under load the queue backs up while every
+// worker is busy, so the drain fills batches and the per-batch costs
+// downstream (one metrics lock per batch, not per image) amortize; a lone
+// request on an idle pool is dispatched at once instead of waiting for a
+// batch no second job will join.
 type pool struct {
 	jobs     chan *job
 	maxBatch int
-	window   time.Duration
 
 	mu     sync.Mutex // serializes submits
 	closed bool       // guarded by mu
-	wg     sync.WaitGroup
+	// dispatched counts micro-batches by dispatch reason (dispatchFull...).
+	dispatched [numDispatchReasons]atomic.Int64
+	wg         sync.WaitGroup
 }
 
+// Why a worker stopped collecting and dispatched its micro-batch.
+const (
+	dispatchFull = iota // the batch reached maxBatch
+	dispatchIdle        // the queue was empty: dispatched without waiting
+	numDispatchReasons
+)
+
+// dispatchReasons names each dispatch reason in /metricsz.
+var dispatchReasons = [numDispatchReasons]string{"full", "idle"}
+
 // newPool starts one worker per session.
-func newPool(sessions []*core.Session, queueDepth, maxBatch int, window time.Duration, done func(batch []*job)) *pool {
+func newPool(sessions []*core.Session, queueDepth, maxBatch int, done func(batch []*job)) *pool {
 	p := &pool{
 		jobs:     make(chan *job, queueDepth),
 		maxBatch: maxBatch,
-		window:   window,
 	}
 	for _, sess := range sessions {
 		p.wg.Add(1)
@@ -175,7 +188,7 @@ func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
 			return
 		}
 		batch = append(batch[:0], first)
-		p.collect(&batch)
+		p.dispatched[p.collect(&batch)].Add(1)
 		started := time.Now()
 		claimed = claimed[:0]
 		remaining := 0
@@ -249,9 +262,28 @@ func (p *pool) worker(sess *core.Session, done func(batch []*job)) {
 	}
 }
 
-// collect greedily tops the batch up to maxBatch, first without waiting,
-// then waiting out the remainder of the batch window.
-func (p *pool) collect(batch *[]*job) {
+// collect tops the batch up to maxBatch from what is already queued and
+// reports why it stopped (dispatchFull or dispatchIdle). It never waits for
+// new arrivals: a worker that found the queue empty dispatches at once.
+func (p *pool) collect(batch *[]*job) int {
+	p.drain(batch)
+	if len(*batch) < p.maxBatch {
+		// The worker may have woken on the first image of a multi-image
+		// request while submit is still pushing the rest under p.mu. Taking
+		// the lock once waits that push out, so the drain below keeps the
+		// request's fan-out in one batch instead of splitting it.
+		p.mu.Lock()
+		p.mu.Unlock()
+		p.drain(batch)
+	}
+	if len(*batch) >= p.maxBatch {
+		return dispatchFull
+	}
+	return dispatchIdle
+}
+
+// drain appends queued jobs to the batch, up to maxBatch, without waiting.
+func (p *pool) drain(batch *[]*job) {
 	for len(*batch) < p.maxBatch {
 		select {
 		case j, ok := <-p.jobs:
@@ -259,24 +291,7 @@ func (p *pool) collect(batch *[]*job) {
 				return
 			}
 			*batch = append(*batch, j)
-			continue
 		default:
-		}
-		break
-	}
-	if len(*batch) >= p.maxBatch || p.window <= 0 {
-		return
-	}
-	timer := time.NewTimer(p.window)
-	defer timer.Stop()
-	for len(*batch) < p.maxBatch {
-		select {
-		case j, ok := <-p.jobs:
-			if !ok {
-				return
-			}
-			*batch = append(*batch, j)
-		case <-timer.C:
 			return
 		}
 	}

@@ -484,7 +484,7 @@ func TestWorkerDropsDeadJobs(t *testing.T) {
 			}
 		}
 	}
-	p := newPool(nil, 16, 8, 0, done) // no workers yet: jobs sit in the queue
+	p := newPool(nil, 16, 8, done) // no workers yet: jobs sit in the queue
 	ctx, cancel := context.WithCancel(context.Background())
 	pol := core.DefaultExitPolicy()
 	var wg sync.WaitGroup

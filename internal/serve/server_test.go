@@ -385,7 +385,7 @@ func TestServerBadRequests(t *testing.T) {
 // nothing: a rejected request must cost the saturated server no worker
 // time. The pool has no workers, so the queue never drains underneath us.
 func TestPoolAllOrNothingAdmission(t *testing.T) {
-	p := newPool(nil, 4, 1, 0, nil)
+	p := newPool(nil, 4, 1, nil)
 	defer p.close()
 	mkJobs := func(n int) []*job {
 		out := make([]*job, n)
